@@ -65,7 +65,7 @@
 //! lines and `#` comments are ignored anywhere, so counterexample files
 //! can carry a human-readable header.
 
-use csp_graph::{EdgeId, NodeId};
+use csp_graph::{EdgeId, NodeId, WeightedGraph};
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
@@ -239,12 +239,40 @@ impl Schedule {
         plan
     }
 
+    /// Checks that every vertex and edge the schedule names exists in
+    /// `g`: crash and rejoin vertices, drift edges and decision edges.
+    /// Parsing cannot check this, since the text format does not carry
+    /// the graph; the runtime indexes per-vertex and per-edge tables
+    /// with these ids.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first out-of-range entry, in the order crashes,
+    /// rejoins, drifts, decisions.
+    pub fn validate(&self, g: &WeightedGraph) -> Result<(), ScheduleError> {
+        let nodes = g.node_count();
+        let mut vertices = (self.crashes.iter().map(|c| ("crash", c.node)))
+            .chain(self.rejoins.iter().map(|r| ("rejoin", r.node)));
+        if let Some((kind, node)) = vertices.find(|(_, v)| v.index() >= nodes) {
+            let node = node.index();
+            return Err(ScheduleError::NoSuchVertex { kind, node, nodes });
+        }
+        let edges = g.edge_count();
+        let mut edge_ids = (self.drifts.iter().map(|d| ("drift", d.edge)))
+            .chain(self.decisions.iter().map(|d| ("decision", d.edge)));
+        if let Some((kind, edge)) = edge_ids.find(|(_, e)| e.index() >= edges) {
+            let edge = edge.index();
+            return Err(ScheduleError::NoSuchEdge { kind, edge, edges });
+        }
+        Ok(())
+    }
+
     /// Validates the churn discipline: per vertex the merged
     /// crash/rejoin times must strictly increase and alternate starting
     /// with a crash, and no edge may be revised twice at one instant
-    /// (the two revisions would race). Returns the offending vertex or
-    /// edge description on failure.
-    fn validate_churn(&self) -> Result<(), String> {
+    /// (the two revisions would race). On failure returns the offending
+    /// entry — the later of a clashing pair — and what is wrong.
+    fn validate_churn(&self) -> Result<(), (ChurnEntry, String)> {
         let mut nodes: Vec<NodeId> = self
             .crashes
             .iter()
@@ -254,32 +282,40 @@ impl Schedule {
         nodes.sort_unstable_by_key(|v| v.index());
         nodes.dedup();
         for v in nodes {
-            // Kind 0 = crash, 1 = rejoin; crashes sort first at a tie so
-            // the strictly-increase check reports equal-time pairs.
-            let mut toggles: Vec<(u64, u8)> = self
+            // Crashes sort before rejoins at a tie, so the
+            // strictly-increase check reports equal-time pairs.
+            let mut toggles: Vec<(u64, ChurnEntry)> = self
                 .crashes
                 .iter()
-                .filter(|c| c.node == v)
-                .map(|c| (c.at, 0))
+                .enumerate()
+                .filter(|(_, c)| c.node == v)
+                .map(|(i, c)| (c.at, ChurnEntry::Crash(i)))
                 .chain(
                     self.rejoins
                         .iter()
-                        .filter(|r| r.node == v)
-                        .map(|r| (r.at, 1)),
+                        .enumerate()
+                        .filter(|(_, r)| r.node == v)
+                        .map(|(i, r)| (r.at, ChurnEntry::Rejoin(i))),
                 )
                 .collect();
             toggles.sort_unstable();
-            for (i, &(at, kind)) in toggles.iter().enumerate() {
+            for (i, &(at, entry)) in toggles.iter().enumerate() {
                 if i > 0 && toggles[i - 1].0 >= at {
-                    return Err(format!(
-                        "churn times for vertex {} must strictly increase",
-                        v.index()
+                    return Err((
+                        entry,
+                        format!(
+                            "churn times for vertex {} must strictly increase",
+                            v.index()
+                        ),
                     ));
                 }
-                if kind != (i % 2) as u8 {
-                    return Err(format!(
-                        "churn for vertex {} must alternate crash/rejoin starting with a crash",
-                        v.index()
+                if matches!(entry, ChurnEntry::Rejoin(_)) != (i % 2 == 1) {
+                    return Err((
+                        entry,
+                        format!(
+                            "churn for vertex {} must alternate crash/rejoin starting with a crash",
+                            v.index()
+                        ),
                     ));
                 }
             }
@@ -289,10 +325,9 @@ impl Schedule {
                 .iter()
                 .any(|e| e.edge == d.edge && e.at == d.at)
             {
-                return Err(format!(
-                    "edge {} revised twice at time {}",
-                    d.edge.index(),
-                    d.at
+                return Err((
+                    ChurnEntry::Drift(i),
+                    format!("edge {} revised twice at time {}", d.edge.index(), d.at),
                 ));
             }
         }
@@ -395,6 +430,9 @@ impl Schedule {
         let mut crashes: Vec<Crash> = Vec::new();
         let mut rejoins: Vec<Rejoin> = Vec::new();
         let mut drifts: Vec<Drift> = Vec::new();
+        // Source line of each crash, rejoin and drift, for churn errors.
+        let (mut crash_lines, mut rejoin_lines, mut drift_lines) =
+            (Vec::new(), Vec::new(), Vec::new());
         for (ln, line) in lines {
             let mut parts = line.split_ascii_whitespace();
             let kind = parts.next().expect("non-empty line has a first token");
@@ -429,6 +467,7 @@ impl Schedule {
                         return Err(fail(ln, "vertex crashed twice"));
                     }
                     crashes.push(Crash { node, at });
+                    crash_lines.push(ln);
                     continue;
                 }
                 "r" => {
@@ -441,6 +480,7 @@ impl Schedule {
                         node: NodeId::new(node as usize),
                         at,
                     });
+                    rejoin_lines.push(ln);
                     continue;
                 }
                 "w" => {
@@ -458,6 +498,7 @@ impl Schedule {
                         at,
                         weight,
                     });
+                    drift_lines.push(ln);
                     continue;
                 }
                 "d" | "x" => {}
@@ -497,7 +538,14 @@ impl Schedule {
             rejoins,
             drifts,
         };
-        schedule.validate_churn().map_err(|msg| fail(0, &msg))?;
+        schedule.validate_churn().map_err(|(entry, msg)| {
+            let ln = match entry {
+                ChurnEntry::Crash(i) => crash_lines[i],
+                ChurnEntry::Rejoin(i) => rejoin_lines[i],
+                ChurnEntry::Drift(i) => drift_lines[i],
+            };
+            fail(ln, &msg)
+        })?;
         Ok(schedule)
     }
 
@@ -725,6 +773,56 @@ impl PrefixHasher {
         self.absorbed
     }
 }
+
+/// One churn entry of a [`Schedule`], by position in its vector.
+/// Crashes order before rejoins, so a crash sorts first at a time tie.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum ChurnEntry {
+    Crash(usize),
+    Rejoin(usize),
+    Drift(usize),
+}
+
+/// A schedule entry naming a vertex or edge that the graph it is
+/// replayed on does not have (see [`Schedule::validate`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ScheduleError {
+    /// A crash or rejoin names vertex `node`; the graph has `nodes`.
+    NoSuchVertex {
+        /// The kind of entry: `"crash"` or `"rejoin"`.
+        kind: &'static str,
+        /// The vertex id the entry names.
+        node: usize,
+        /// The graph's vertex count.
+        nodes: usize,
+    },
+    /// A drift or decision names edge `edge`; the graph has `edges`.
+    NoSuchEdge {
+        /// The kind of entry: `"drift"` or `"decision"`.
+        kind: &'static str,
+        /// The edge id the entry names.
+        edge: usize,
+        /// The graph's edge count.
+        edges: usize,
+    },
+}
+
+impl fmt::Display for ScheduleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ScheduleError::NoSuchVertex { kind, node, nodes } => write!(
+                f,
+                "schedule {kind} names vertex {node}, but the graph has {nodes} vertices"
+            ),
+            ScheduleError::NoSuchEdge { kind, edge, edges } => write!(
+                f,
+                "schedule {kind} names edge {edge}, but the graph has {edges} edges"
+            ),
+        }
+    }
+}
+
+impl Error for ScheduleError {}
 
 /// A malformed schedule file.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -1065,53 +1163,131 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_churn() {
-        for (text, expect) in [
+        // Each case names the line of the offending entry: churn
+        // discipline errors are found after parsing, but still point at
+        // the `c`/`r`/`w` line that breaks the rule.
+        for (text, expect, line) in [
             (
                 // Churn lines below v3.
                 "csp-adversary-schedule v2\nfallback rush\nc 1 5\nr 1 9",
                 "require the v3 dialect",
+                4,
             ),
             (
                 "csp-adversary-schedule v2\nfallback rush\nw 0 5 3",
                 "require the v3 dialect",
+                3,
             ),
             (
                 // Rejoin with no preceding crash.
                 "csp-adversary-schedule v3\nfallback rush\nr 1 9",
                 "starting with a crash",
+                3,
             ),
             (
                 // Recrash without an intervening rejoin.
                 "csp-adversary-schedule v3\nfallback rush\nc 1 5\nc 1 9",
                 "alternate crash/rejoin",
+                4,
             ),
             (
                 // Rejoin at the crash instant.
                 "csp-adversary-schedule v3\nfallback rush\nc 1 5\nr 1 5",
                 "strictly increase",
+                4,
+            ),
+            (
+                // The offending rejoin is not the last line, and the
+                // count includes comment and blank lines.
+                "csp-adversary-schedule v3\nfallback rush\n# churn\n\nc 2 7\nr 2 3\nc 4 1",
+                "starting with a crash",
+                6,
+            ),
+            (
+                // Listed out of time order: by time the entries run
+                // crash 2, crash 5, rejoin 9, so the crash at 5 offends.
+                "csp-adversary-schedule v3\nfallback rush\nr 1 9\nc 1 2\nc 1 5",
+                "alternate crash/rejoin",
+                5,
             ),
             (
                 "csp-adversary-schedule v3\nfallback rush\nw 0 5 0",
                 "at least 1",
+                3,
             ),
             (
                 // Two revisions of one edge at one instant race.
-                "csp-adversary-schedule v3\nfallback rush\nw 0 5 3\nw 0 5 4",
+                "csp-adversary-schedule v3\nfallback rush\nw 0 5 3\nw 1 5 3\nw 0 5 4",
                 "revised twice",
+                5,
             ),
             (
                 "csp-adversary-schedule v3\nfallback rush\nr 1 9 7",
                 "trailing tokens on rejoin line",
+                3,
             ),
         ] {
             let err = Schedule::from_text(text).unwrap_err();
             assert!(err.msg.contains(expect), "input {text:?} gave {err}");
+            assert_eq!(err.line, line, "input {text:?} gave {err}");
         }
         // v3 legitimizes a recrash when the rejoin intervenes.
         let ok = "csp-adversary-schedule v3\nfallback rush\nc 1 5\nr 1 9\nc 1 12";
         assert_eq!(
             Schedule::from_text(ok).unwrap().churn_of(NodeId::new(1)),
             vec![5, 9, 12]
+        );
+    }
+
+    #[test]
+    fn validate_names_the_first_out_of_range_entry() {
+        let g = csp_graph::generators::path(4, |_| 5); // 4 vertices, 3 edges
+        let parse = |body: &str| {
+            Schedule::from_text(&format!(
+                "csp-adversary-schedule v3\nfallback worst-case\n{body}"
+            ))
+            .unwrap()
+        };
+        assert_eq!(
+            parse("c 3 5\nr 3 9\nw 2 3 4\nd 0 2 1 5 5").validate(&g),
+            Ok(())
+        );
+        assert_eq!(
+            parse("c 999 5").validate(&g),
+            Err(ScheduleError::NoSuchVertex {
+                kind: "crash",
+                node: 999,
+                nodes: 4
+            })
+        );
+        assert_eq!(
+            parse("c 1 5\nr 4 9\nc 4 2").validate(&g),
+            Err(ScheduleError::NoSuchVertex {
+                kind: "crash",
+                node: 4,
+                nodes: 4
+            })
+        );
+        let err = parse("w 999 3 4").validate(&g).unwrap_err();
+        assert_eq!(
+            err,
+            ScheduleError::NoSuchEdge {
+                kind: "drift",
+                edge: 999,
+                edges: 3
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "schedule drift names edge 999, but the graph has 3 edges"
+        );
+        assert_eq!(
+            parse("d 0 3 0 5 5").validate(&g),
+            Err(ScheduleError::NoSuchEdge {
+                kind: "decision",
+                edge: 3,
+                edges: 3
+            })
         );
     }
 

@@ -454,7 +454,7 @@ where
 }
 
 /// [`record_run`] through a pooled evaluator: same result, but the
-/// simulator state (slab, queue, cost meters) is recycled from `pool`.
+/// simulator state (queue arena, cost meters) is recycled from `pool`.
 fn eval_recorded<P, F, O>(
     sim: &Simulator<'_>,
     pool: &mut EvalPool<P>,

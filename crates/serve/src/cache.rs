@@ -24,7 +24,7 @@
 //! share a checkpoint.
 //!
 //! Eviction is LRU by a global access epoch with separate caps for
-//! checkpoints (heavyweight: queue + slab + states) and results
+//! checkpoints (heavyweight: pending events + states) and results
 //! (lightweight), so a long-running service holds its memory flat.
 
 use csp_adversary::{PrefixHasher, Schedule};
@@ -61,7 +61,7 @@ pub enum Probe<P: Process> {
     /// A checkpoint covers a proper prefix: resume from it. Stored
     /// checkpoints are immutable, so the cache hands out an [`Arc`] —
     /// shipping one to a worker thread is a refcount bump, not a deep
-    /// clone of queue + slab + states.
+    /// clone of pending events + states.
     Incremental {
         /// Snapshot to resume from.
         checkpoint: Arc<Checkpoint<P>>,

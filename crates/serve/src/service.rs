@@ -264,7 +264,6 @@ impl Service {
     /// per scenario in submission order.
     pub fn process_batch(&mut self, scenarios: Vec<Scenario>) -> Vec<Json> {
         self.metrics.batches += 1;
-        self.metrics.submitted += scenarios.len() as u64;
         let queued = Instant::now();
 
         // Materialize every referenced graph first, so jobs can borrow
@@ -279,15 +278,25 @@ impl Service {
 
         // Partition by stack type; each partition runs through the
         // typed pipeline. Order within `responses` preserves submission
-        // order regardless of partitioning.
+        // order regardless of partitioning. A replayed schedule that
+        // names a vertex or edge its graph lacks is answered with an
+        // error here, before any run could index past the graph.
         let mut flood_jobs: Vec<(usize, Scenario)> = Vec::new();
         let mut spt_jobs: Vec<(usize, Scenario)> = Vec::new();
         for (ix, s) in scenarios.into_iter().enumerate() {
+            if let RunMode::Schedule(schedule) = &s.run {
+                if let Err(e) = schedule.validate(&self.graphs[&s.graph.key()]) {
+                    self.metrics.rejected += 1;
+                    responses[ix] = Some(error_response(&s.id, &format!("bad schedule: {e}")));
+                    continue;
+                }
+            }
             match s.stack {
                 StackSpec::Flood { .. } => flood_jobs.push((ix, s)),
                 StackSpec::SptRecur { .. } => spt_jobs.push((ix, s)),
             }
         }
+        self.metrics.submitted += (flood_jobs.len() + spt_jobs.len()) as u64;
 
         // The typed pipelines need simultaneous access to the graph
         // store (shared) and one cache (exclusive) — split the borrows

@@ -665,3 +665,122 @@ fn hostile_requests_are_rejected_not_crashed() {
         Some(4)
     );
 }
+
+/// A flood submission on a 4-vertex path (3 edges) replaying `text`.
+fn path_schedule_submit(id: &str, text: &str) -> Json {
+    Json::obj(vec![
+        ("type", Json::str("submit")),
+        ("id", Json::str(id)),
+        (
+            "graph",
+            Json::obj(vec![
+                ("family", Json::str("path")),
+                ("n", Json::num(4.0)),
+                ("w", Json::num(5.0)),
+            ]),
+        ),
+        (
+            "stack",
+            Json::obj(vec![
+                ("protocol", Json::str("flood")),
+                ("root", Json::num(0.0)),
+            ]),
+        ),
+        (
+            "run",
+            Json::obj(vec![
+                ("mode", Json::str("schedule")),
+                ("schedule", Json::str(text)),
+            ]),
+        ),
+    ])
+}
+
+#[test]
+fn out_of_range_schedule_entries_are_rejected_with_the_request_id() {
+    // Regression: a drift of a missing edge used to index past the
+    // runtime's weight table and kill the service, and a crash of a
+    // missing vertex was accepted silently. Both parse (the text format
+    // does not carry the graph) and must be refused once the graph is
+    // built, inline and pooled alike.
+    for threads in [1, 2] {
+        let mut svc = Service::new(ServiceConfig {
+            threads,
+            ..ServiceConfig::default()
+        });
+        for (id, text, expect) in [
+            (
+                "drift-oob",
+                "csp-adversary-schedule v3\nfallback worst-case\nw 999 3 4\n",
+                "edge 999",
+            ),
+            (
+                "crash-oob",
+                "csp-adversary-schedule v2\nfallback worst-case\nc 999 5\n",
+                "vertex 999",
+            ),
+            (
+                "rejoin-oob",
+                "csp-adversary-schedule v3\nfallback worst-case\nc 4 5\nr 4 9\n",
+                "vertex 4",
+            ),
+            (
+                "decision-oob",
+                "csp-adversary-schedule v1\nfallback worst-case\nd 0 3 0 5 5\n",
+                "edge 3",
+            ),
+        ] {
+            let rs = svc.handle(&path_schedule_submit(id, text));
+            assert_eq!(rs.len(), 1, "one response for {id}");
+            assert_eq!(rs[0].get("type").and_then(Json::as_str), Some("error"));
+            assert_eq!(rs[0].get("id").and_then(Json::as_str), Some(id));
+            let msg = rs[0].get("error").and_then(Json::as_str).unwrap();
+            assert!(msg.contains(expect), "{id}: {msg}");
+        }
+        // The service keeps serving: in-range churn on the same graph
+        // runs, and a batch isolates the bad entry.
+        let ok = "csp-adversary-schedule v3\nfallback worst-case\nc 3 5\nr 3 9\nw 2 3 4\n";
+        let rs = svc.handle(&path_schedule_submit("ok", ok));
+        assert_eq!(rs[0].get("type").and_then(Json::as_str), Some("result"));
+        let scenario = |id: &str, text: &str| {
+            let Json::Obj(mut m) = path_schedule_submit(id, text) else {
+                unreachable!("submissions are objects")
+            };
+            m.remove("type");
+            Json::Obj(m)
+        };
+        let batch = Json::obj(vec![
+            ("type", Json::str("batch")),
+            (
+                "scenarios",
+                Json::Arr(vec![
+                    scenario("a", ok),
+                    scenario(
+                        "bad",
+                        "csp-adversary-schedule v3\nfallback worst-case\nw 999 3 4\n",
+                    ),
+                    scenario("b", ok),
+                ]),
+            ),
+        ]);
+        let rs = svc.handle(&batch);
+        let kinds: Vec<_> = rs
+            .iter()
+            .map(|r| {
+                (
+                    r.get("id").and_then(Json::as_str).unwrap().to_string(),
+                    r.get("type").and_then(Json::as_str).unwrap().to_string(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [("a", "result"), ("bad", "error"), ("b", "result")]
+                .map(|(i, t)| (i.to_string(), t.to_string()))
+        );
+        let stats = svc.handle(&Json::obj(vec![("type", Json::str("stats"))]));
+        let stats = stats[0].get("stats").unwrap();
+        assert_eq!(stats.get("rejected").and_then(Json::as_u64), Some(5));
+        assert_eq!(stats.get("submitted").and_then(Json::as_u64), Some(3));
+    }
+}

@@ -18,7 +18,7 @@
 use crate::cost::{CostClass, CostReport};
 use crate::delay::{DelayModel, LinkDecision, LinkOracle, ModelOracle, MsgInfo};
 use crate::process::{Context, Process};
-use crate::queue::BucketQueue;
+use crate::queue;
 use crate::runtime::{Run, SimError};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
@@ -312,7 +312,7 @@ impl<'g> BaselineSimulator<'g> {
         // cores (differential comparisons check full report equality);
         // the baseline's `BinaryHeap` never overflows, matching the
         // in-window bucket-core count of zero.
-        cost.bucket_window = BucketQueue::capacity_for(g.max_weight().get()) as u64;
+        cost.bucket_window = queue::capacity_for(g.max_weight().get()) as u64;
         Ok(Run {
             states,
             cost,

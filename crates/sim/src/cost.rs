@@ -117,16 +117,16 @@ pub struct CostReport {
     /// zero on the bucket core whenever the workload's maximum delay
     /// fits the auto-sized window — so any non-zero value flags the
     /// slow-path fallback without consumers reaching into the queue.
-    /// Same-kind checkpoint resumes carry the counter exactly; a
-    /// cross-kind resume rebuilds the queue and re-counts the restored
-    /// entries, so only the zero/non-zero signal is portable there.
+    /// A resumed run reports the checkpointed prefix's count plus its
+    /// own overflow pushes, so a resume on the core that took the
+    /// checkpoint matches the cold run exactly.
     /// Timer pushes share the queue, so timeouts armed beyond `W`
     /// (retransmission backoff, failure-detector horizons) can overflow
     /// even when message delays fit — which is why this field does
     /// **not** participate in [`CostReport`] equality.
     pub overflow_pushes: u64,
     /// The bucket window (bucket count) the workload sizes to:
-    /// [`BucketQueue::capacity_for`](crate::queue::BucketQueue::capacity_for)
+    /// [`queue::capacity_for`](crate::queue::capacity_for)
     /// of the graph's maximum weight. A property of the workload, not of
     /// the core that ran it — every executor reports the same value, so
     /// cross-core differential equality is preserved. Together with

@@ -1,5 +1,6 @@
-//! Integer-keyed event queues: the bucket "ladder" behind the hot
-//! scheduling path, and the binary-heap reference it is checked against.
+//! Integer-keyed event queues that carry their events: the chunked
+//! bucket "calendar" behind the hot scheduling path, and the binary-heap
+//! reference it is checked against.
 //!
 //! # Why a bucket queue works here
 //!
@@ -21,11 +22,38 @@
 //! **at most one distinct timestamp per bucket**, so push is O(1) and
 //! pop is a bitmap scan. The global send-order sequence number makes
 //! same-time pops identical to the heap's `(time, seq)` order: pushes
-//! carry strictly increasing `seq`, so tail-append order inside a
-//! bucket's list *is* seq order.
+//! carry strictly increasing `seq`, so append order inside a bucket *is*
+//! seq order. Because every bucketed entry lies in `[clock, clock +
+//! capacity)`, a bucket's timestamp follows from its index and the clock
+//! and is not stored at all.
+//!
+//! # Layout: one chunk arena
+//!
+//! The queue stores the events themselves, not handles to them. Each
+//! bucket is a chain of fixed-size chunks of `CHUNK` (16) `(seq, event)`
+//! entries, filled front to back; all chunks come from one arena shared
+//! by every bucket, and a drained chunk goes back on a free list that
+//! any bucket may draw from next. Three reasons shape it:
+//!
+//! * **No dependent misses.** A per-entry linked list with a separate
+//!   payload slot costs two dependent cache misses per pop: the list
+//!   node, pushed up to `W` ticks earlier, and then the payload it
+//!   names. Here the entry a pop reads *is* the payload, and the entries
+//!   of one tick sit side by side, so a same-tick burst streams through
+//!   contiguous memory.
+//! * **Memory follows the global in-flight peak.** Per-bucket vectors
+//!   each keep their own peak; the shared arena never holds more than
+//!   one chunk per non-empty bucket plus `in-flight / CHUNK` chunks, and
+//!   a recycled chunk is reused while it is still warm in cache. The
+//!   arena is a handful of flat allocations, so a pooled simulator and
+//!   thousands of short adversary runs reuse it wholesale.
+//! * **Checkpoints are sorted lists.** [`BucketQueue::snapshot_sorted`]
+//!   writes the pending entries out in `(time, seq)` order and
+//!   [`BucketQueue::restore`] re-pushes them, so a checkpoint holds only
+//!   what is in flight, in one format both queue kinds accept.
 //!
 //! Weights larger than the bucket horizon (the capacity is capped — see
-//! [`BucketQueue::MAX_CAPACITY`]) fall back to an **overflow heap**:
+//! [`MAX_CAPACITY`]) fall back to an **overflow heap**:
 //! entries beyond `cur + capacity` wait there and are merged into the
 //! window, in seq order, before any pop that could overtake them. This
 //! keeps the queue exact for arbitrarily heavy edges at a small cost on
@@ -37,7 +65,7 @@
 //!
 //! Same-bucket events additionally drain through a **hot-bucket fast
 //! path**: after a pop leaves further entries at the same timestamp,
-//! subsequent pops take them straight off that bucket's list — no
+//! subsequent pops take them straight off that bucket's chain — no
 //! bitmap re-scan, no overflow probe — until the tick is exhausted.
 //! This is what makes batched same-tick delivery (wide simultaneous
 //! fan-outs on million-edge graphs) O(1) per event instead of O(scan).
@@ -46,44 +74,104 @@
 //! differential reference the proptests and the core microbench run the
 //! bucket queue against (`Simulator::core(CoreKind::Heap)`).
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// One scheduled entry: `(arrival time, global send sequence, payload
-/// slot)`. Ordering is lexicographic — time first, then seq — and the
-/// slot never participates in ordering decisions.
-pub type QueueEntry = (u64, u64, usize);
+/// Entries per arena chunk. Sixteen `(seq, event)` entries of the
+/// simulator's event type span a few cache lines — long enough that a
+/// same-tick burst streams through contiguous memory, short enough that
+/// a bucket holding one event wastes little.
+const CHUNK: usize = 16;
 
-/// A slab node: one pending entry plus the index of its bucket
-/// successor ([`NIL`]-terminated).
-#[derive(Clone, Copy, Debug)]
-struct Node {
-    entry: QueueEntry,
-    next: u32,
-}
-
-/// Sentinel "no node" index for the intrusive bucket lists.
+/// Sentinel "no slot / no chunk" index.
 const NIL: u32 = u32::MAX;
 
-/// Circular bucket ("calendar") queue with exact `(time, seq)` pop
-/// order, an O(1) amortized push, and a two-level-bitmap pop scan.
-///
-/// Buckets are intrusive singly-linked lists threaded through one slab
-/// `Vec` — a deliberate choice over `Vec<Vec<_>>`: adversary evaluation
-/// runs thousands of *short* simulations, and per-bucket vectors cost
-/// one malloc per first-touched bucket (≈ one per event on a cold run).
-/// The slab makes the whole queue a handful of flat allocations that a
-/// pooled simulator reuses wholesale.
-///
-/// See the [module docs](self) for the invariants this relies on; they
-/// are asserted in debug builds and pinned against [`HeapQueue`] and the
-/// baseline simulator by `tests/flat_core_differential.rs`.
+/// Whether arena slot `slot` is the last of its chunk.
+#[inline]
+fn last_in_chunk(slot: u32) -> bool {
+    (slot as usize + 1).is_multiple_of(CHUNK)
+}
+
+/// Hard cap on the bucket array: 2¹⁸ buckets (≈ 2 MiB of headers at
+/// full size — but queues are auto-sized from the workload's
+/// maximum delay, so only runs that need the full window allocate
+/// it). The previous cap of 2⁸ silently routed every workload with
+/// `W > 256` through the overflow heap, turning the O(1) hot path
+/// into a `BinaryHeap` on exactly the heavy-weighted graphs the
+/// cost-sensitive analysis cares about; 2¹⁸ covers the scale-tier
+/// weight distributions outright, and delays past the cap still
+/// ride the overflow heap and merge back in exactly
+/// ([`BucketQueue::overflow_pushes`] counts them). The cap is
+/// 64 · 64 · 64, so the three-level bitmap's top level is a single
+/// `u64` word.
+pub const MAX_CAPACITY: usize = 1 << 18;
+
+/// Smallest bucket array worth the bitmap bookkeeping.
+pub const MIN_CAPACITY: usize = 1 << 4;
+
+/// The bucket count [`BucketQueue::new`] would allocate for
+/// `max_delay` — lets pools decide whether an existing queue's
+/// window already suffices. Window sizing does not depend on the
+/// event type, so it lives beside the queue rather than on it.
+pub fn capacity_for(max_delay: u64) -> usize {
+    (max_delay.saturating_add(1).min(MAX_CAPACITY as u64) as usize)
+        .next_power_of_two()
+        .clamp(MIN_CAPACITY, MAX_CAPACITY)
+}
+
+/// A pending entry with its key, ordered by `(time, seq)` alone so the
+/// payload needs no ordering of its own. Used by the overflow heap and
+/// by [`HeapQueue`].
 #[derive(Debug)]
-pub struct BucketQueue {
-    /// `head[t & mask]` / `tail[t & mask]` delimit the pending entries
-    /// of exactly one timestamp at any moment, linked in ascending seq
-    /// order through [`BucketQueue::nodes`].
+struct Keyed<T> {
+    time: u64,
+    seq: u64,
+    item: T,
+}
+
+impl<T> Keyed<T> {
+    fn key(&self) -> (u64, u64) {
+        (self.time, self.seq)
+    }
+}
+
+impl<T> PartialEq for Keyed<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<T> Eq for Keyed<T> {}
+
+impl<T> PartialOrd for Keyed<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Keyed<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// Circular bucket ("calendar") queue with exact `(time, seq)` pop
+/// order, an O(1) amortized push, and a two-level-bitmap pop scan. Each
+/// entry carries its event `T`; [`pop`](BucketQueue::pop) hands it back
+/// by value.
+///
+/// See the [module docs](self) for the invariants this relies on and
+/// the chunk-arena layout; they are asserted in debug builds and pinned
+/// against [`HeapQueue`] and the baseline simulator by the proptests
+/// below and `tests/flat_core_differential.rs`.
+#[derive(Debug)]
+pub struct BucketQueue<T> {
+    /// Arena slot of each bucket's first pending entry, or [`NIL`] for
+    /// an empty bucket.
     head: Vec<u32>,
+    /// Arena slot of each bucket's *last* pending entry (never one past
+    /// it: a full tail chunk's end would alias the start of the next
+    /// chunk in the arena). Meaningless while `head` is [`NIL`].
     tail: Vec<u32>,
     mask: u64,
     /// Bit `b` set ⇔ bucket `b` is non-empty.
@@ -97,97 +185,33 @@ pub struct BucketQueue {
     /// pop, or [`NIL`]: the same-tick fast path drains it directly —
     /// no pending entry (bucketed or overflow) can precede its head.
     hot: u32,
-    /// Entries currently threaded through the buckets.
+    /// Entries currently held in the buckets.
     bucketed: usize,
-    /// Slab of list nodes; free slots are chained through their own
-    /// `next` fields starting at [`BucketQueue::free_head`], so the slab
-    /// grows to the peak number of pending entries and stays there
-    /// without a side allocation.
-    nodes: Vec<Node>,
-    free_head: u32,
+    /// The chunk arena: chunk `c` owns slots `c·CHUNK .. (c+1)·CHUNK`.
+    /// `None` marks a slot outside every bucket's live range.
+    slots: Vec<Option<(u64, T)>>,
+    /// Per chunk: the next chunk of the same bucket ([`NIL`] at the
+    /// tail), or for a free chunk the next free one.
+    links: Vec<u32>,
+    /// Head of the free-chunk list, or [`NIL`].
+    free: u32,
     /// The last popped time; every pending entry is ≥ `cur` and every
     /// bucketed entry is `< cur + capacity`.
     cur: u64,
     /// Entries scheduled at or beyond `cur + capacity`, merged into the
     /// window lazily as `cur` advances.
-    overflow: BinaryHeap<Reverse<QueueEntry>>,
+    overflow: BinaryHeap<Reverse<Keyed<T>>>,
     /// Pushes that landed beyond the window since the last clear.
     overflow_pushes: u64,
 }
 
-// Hand-written so `clone_from` reuses every flat allocation (all
-// element types are `Copy`, so the field copies are memcpys): the
-// checkpoint-resume path overwrites a pooled queue with a snapshotted
-// one per candidate, and the derived `clone_from` would reallocate.
-impl Clone for BucketQueue {
-    fn clone(&self) -> Self {
-        BucketQueue {
-            head: self.head.clone(),
-            tail: self.tail.clone(),
-            mask: self.mask,
-            l0: self.l0.clone(),
-            l1: self.l1.clone(),
-            l2: self.l2,
-            hot: self.hot,
-            bucketed: self.bucketed,
-            nodes: self.nodes.clone(),
-            free_head: self.free_head,
-            cur: self.cur,
-            overflow: self.overflow.clone(),
-            overflow_pushes: self.overflow_pushes,
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.head.clone_from(&src.head);
-        self.tail.clone_from(&src.tail);
-        self.mask = src.mask;
-        self.l0.clone_from(&src.l0);
-        self.l1.clone_from(&src.l1);
-        self.l2 = src.l2;
-        self.hot = src.hot;
-        self.bucketed = src.bucketed;
-        self.nodes.clone_from(&src.nodes);
-        self.free_head = src.free_head;
-        self.cur = src.cur;
-        self.overflow.clone_from(&src.overflow);
-        self.overflow_pushes = src.overflow_pushes;
-    }
-}
-
-impl BucketQueue {
-    /// Hard cap on the bucket array: 2¹⁸ buckets (≈ 2 MiB of headers at
-    /// full size — but queues are auto-sized from the workload's
-    /// maximum delay, so only runs that need the full window allocate
-    /// it). The previous cap of 2⁸ silently routed every workload with
-    /// `W > 256` through the overflow heap, turning the O(1) hot path
-    /// into a `BinaryHeap` on exactly the heavy-weighted graphs the
-    /// cost-sensitive analysis cares about; 2¹⁸ covers the scale-tier
-    /// weight distributions outright, and delays past the cap still
-    /// ride the overflow heap and merge back in exactly
-    /// ([`BucketQueue::overflow_pushes`] counts them). The cap is
-    /// 64 · 64 · 64, so the three-level bitmap's top level is a single
-    /// `u64` word.
-    pub const MAX_CAPACITY: usize = 1 << 18;
-
-    /// Smallest bucket array worth the bitmap bookkeeping.
-    pub const MIN_CAPACITY: usize = 1 << 4;
-
+impl<T> BucketQueue<T> {
     /// Creates a queue sized for delays up to `max_delay` ticks: the
     /// capacity is the next power of two above `max_delay + 1`, clamped
     /// into `[MIN_CAPACITY, MAX_CAPACITY]`, so the common case (maximum
     /// edge weight below the cap) never touches the overflow heap.
     pub fn new(max_delay: u64) -> Self {
-        Self::with_capacity(Self::capacity_for(max_delay))
-    }
-
-    /// The bucket count [`BucketQueue::new`] would allocate for
-    /// `max_delay` — lets pools decide whether an existing queue's
-    /// window already suffices.
-    pub fn capacity_for(max_delay: u64) -> usize {
-        (max_delay.saturating_add(1).min(Self::MAX_CAPACITY as u64) as usize)
-            .next_power_of_two()
-            .clamp(Self::MIN_CAPACITY, Self::MAX_CAPACITY)
+        Self::with_capacity(capacity_for(max_delay))
     }
 
     /// Creates a queue with an explicit bucket count (rounded up to a
@@ -196,7 +220,7 @@ impl BucketQueue {
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity
             .next_power_of_two()
-            .clamp(Self::MIN_CAPACITY, Self::MAX_CAPACITY);
+            .clamp(MIN_CAPACITY, MAX_CAPACITY);
         let l0_words = capacity.div_ceil(64);
         BucketQueue {
             head: vec![NIL; capacity],
@@ -207,26 +231,12 @@ impl BucketQueue {
             l2: 0,
             hot: NIL,
             bucketed: 0,
-            nodes: Vec::new(),
-            free_head: NIL,
+            slots: Vec::new(),
+            links: Vec::new(),
+            free: NIL,
             cur: 0,
             overflow: BinaryHeap::new(),
             overflow_pushes: 0,
-        }
-    }
-
-    /// Takes a slab slot for `entry`, recycling freed slots first.
-    #[inline]
-    fn alloc(&mut self, entry: QueueEntry) -> u32 {
-        let node = Node { entry, next: NIL };
-        if self.free_head != NIL {
-            let i = self.free_head;
-            self.free_head = self.nodes[i as usize].next;
-            self.nodes[i as usize] = node;
-            i
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
         }
     }
 
@@ -250,16 +260,24 @@ impl BucketQueue {
 
     /// Number of pushes that landed beyond the bucket window and took
     /// the overflow-heap path since the last
-    /// [`clear`](BucketQueue::clear). Stays zero for any workload whose
-    /// maximum delay fits the auto-sized window — the scale regression
-    /// pins this for `W = 10⁴`.
+    /// [`clear`](BucketQueue::clear) or [`restore`](BucketQueue::restore).
+    /// Stays zero for any workload whose maximum delay fits the
+    /// auto-sized window — the scale regression pins this for `W = 10⁴`.
     #[inline]
     pub fn overflow_pushes(&self) -> u64 {
         self.overflow_pushes
     }
 
+    /// Chunks the arena has allocated since the last
+    /// [`clear`](BucketQueue::clear), in use or free — the queue's
+    /// memory high-water mark in units of `CHUNK` entries.
+    #[cfg(test)]
+    pub(crate) fn arena_chunks(&self) -> usize {
+        self.links.len()
+    }
+
     /// Removes every pending entry and rewinds the clock to zero,
-    /// keeping all allocations (slab, bitmaps, overflow) for reuse.
+    /// keeping all allocations (arena, bitmaps, overflow) for reuse.
     pub fn clear(&mut self) {
         for (w, &word) in self.l0.iter().enumerate() {
             let mut bits = word;
@@ -275,8 +293,9 @@ impl BucketQueue {
         self.l2 = 0;
         self.hot = NIL;
         self.bucketed = 0;
-        self.nodes.clear();
-        self.free_head = NIL;
+        self.slots.clear();
+        self.links.clear();
+        self.free = NIL;
         self.cur = 0;
         self.overflow.clear();
         self.overflow_pushes = 0;
@@ -303,79 +322,151 @@ impl BucketQueue {
         }
     }
 
-    /// Schedules `(time, seq, slot)`.
+    /// The timestamp of bucket `b`'s entries: the unique time in
+    /// `[cur, cur + capacity)` congruent to `b`.
+    #[inline]
+    fn bucket_time(&self, b: usize) -> u64 {
+        self.cur + ((b as u64).wrapping_sub(self.cur) & self.mask)
+    }
+
+    /// Takes a chunk off the free list, or grows the arena by one.
+    #[inline]
+    fn alloc_chunk(&mut self) -> u32 {
+        let c = self.free;
+        if c != NIL {
+            self.free = self.links[c as usize];
+            self.links[c as usize] = NIL;
+            c
+        } else {
+            self.links.push(NIL);
+            self.slots.resize_with(self.slots.len() + CHUNK, || None);
+            (self.links.len() - 1) as u32
+        }
+    }
+
+    /// Returns chunk `c` to the free list. Its slots are all `None`.
+    #[inline]
+    fn release_chunk(&mut self, c: usize) {
+        self.links[c] = self.free;
+        self.free = c as u32;
+    }
+
+    /// The slot after `at` within its bucket's chain: the next slot of
+    /// the same chunk, or the first slot of the linked chunk.
+    #[inline]
+    fn next_slot(&self, at: u32) -> u32 {
+        if last_in_chunk(at) {
+            self.links[at as usize / CHUNK] * CHUNK as u32
+        } else {
+            at + 1
+        }
+    }
+
+    /// Appends `(seq, item)` behind bucket `b`'s tail, opening a chunk
+    /// when the bucket is empty or its tail chunk is full.
+    #[inline]
+    fn append(&mut self, b: usize, seq: u64, item: T) {
+        let t = self.tail[b];
+        let slot = if self.head[b] == NIL {
+            let s = self.alloc_chunk() * CHUNK as u32;
+            self.head[b] = s;
+            self.set_bit(b);
+            s
+        } else if last_in_chunk(t) {
+            debug_assert!(
+                self.slots[t as usize].as_ref().is_some_and(|e| e.0 < seq),
+                "bucket {b} would break seq order"
+            );
+            let c = self.alloc_chunk();
+            self.links[t as usize / CHUNK] = c;
+            c * CHUNK as u32
+        } else {
+            debug_assert!(
+                self.slots[t as usize].as_ref().is_some_and(|e| e.0 < seq),
+                "bucket {b} would break seq order"
+            );
+            t + 1
+        };
+        self.slots[slot as usize] = Some((seq, item));
+        self.tail[b] = slot;
+        self.bucketed += 1;
+    }
+
+    /// Removes bucket `b`'s head entry (the bucket must be non-empty),
+    /// releasing each chunk as it drains. Returns the entry and whether
+    /// the bucket still holds more.
+    #[inline]
+    fn take_head(&mut self, b: usize) -> ((u64, T), bool) {
+        let h = self.head[b];
+        let entry = self.slots[h as usize]
+            .take()
+            .expect("a bucket head holds an entry");
+        self.bucketed -= 1;
+        if h == self.tail[b] {
+            self.release_chunk(h as usize / CHUNK);
+            self.head[b] = NIL;
+            self.tail[b] = NIL;
+            self.clear_bit(b);
+            return (entry, false);
+        }
+        let next = self.next_slot(h);
+        if last_in_chunk(h) {
+            self.release_chunk(h as usize / CHUNK);
+        }
+        self.head[b] = next;
+        (entry, true)
+    }
+
+    /// Schedules `item` at `(time, seq)`.
     ///
     /// `time` must be at least the last popped time, and `seq` strictly
     /// greater than every previously pushed seq (both debug-asserted) —
     /// exactly what the simulator's dispatch loop guarantees.
-    pub fn push(&mut self, time: u64, seq: u64, slot: usize) {
+    #[inline]
+    pub fn push(&mut self, time: u64, seq: u64, item: T) {
         debug_assert!(
             time >= self.cur,
             "bucket queue requires monotone pushes: {time} < clock {}",
             self.cur
         );
         if time - self.cur > self.mask {
-            self.overflow.push(Reverse((time, seq, slot)));
+            self.overflow.push(Reverse(Keyed { time, seq, item }));
             self.overflow_pushes += 1;
             return;
         }
-        let b = (time & self.mask) as usize;
-        let idx = self.alloc((time, seq, slot));
-        let t = self.tail[b];
-        if t == NIL {
-            self.head[b] = idx;
-            self.set_bit(b);
-        } else {
-            debug_assert!(
-                {
-                    let (pt, ps, _) = self.nodes[t as usize].entry;
-                    pt == time && ps < seq
-                },
-                "bucket {b} would mix timestamps or break seq order"
-            );
-            self.nodes[t as usize].next = idx;
-        }
-        self.tail[b] = idx;
-        self.bucketed += 1;
+        self.append((time & self.mask) as usize, seq, item);
     }
 
     /// Merges every overflow entry that now falls inside the bucket
     /// window `[cur, cur + capacity)`. Insertion keeps per-bucket seq
     /// order (overflow entries may pre-date bucketed ones).
     fn merge_overflow(&mut self) {
-        while let Some(&Reverse((t, _, _))) = self.overflow.peek() {
-            if t - self.cur > self.mask {
-                break;
-            }
-            let Reverse(e) = self.overflow.pop().expect("peeked entry");
-            let b = (t & self.mask) as usize;
-            let idx = self.alloc(e);
-            if self.head[b] == NIL {
-                self.head[b] = idx;
-                self.tail[b] = idx;
-                self.set_bit(b);
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|Reverse(e)| e.time - self.cur <= self.mask)
+        {
+            let Reverse(Keyed { time, seq, item }) = self.overflow.pop().expect("peeked entry");
+            let b = (time & self.mask) as usize;
+            let behind_tail = self.head[b] == NIL
+                || self.slots[self.tail[b] as usize]
+                    .as_ref()
+                    .is_some_and(|e| e.0 < seq);
+            if behind_tail {
+                self.append(b, seq, item);
             } else {
-                debug_assert_eq!(self.nodes[self.head[b] as usize].entry.0, t);
-                // Walk to the first node with a larger seq and splice in
-                // front of it; overflow entries may pre-date bucketed
-                // ones, but this path is rare by construction.
-                let mut prev = NIL;
-                let mut at = self.head[b];
-                while at != NIL && self.nodes[at as usize].entry.1 < e.1 {
-                    prev = at;
-                    at = self.nodes[at as usize].next;
+                // The entry pre-dates some bucketed ones: rebuild the
+                // bucket in seq order. Rare by construction.
+                let mut held = Vec::new();
+                while self.head[b] != NIL {
+                    held.push(self.take_head(b).0);
                 }
-                self.nodes[idx as usize].next = at;
-                if prev == NIL {
-                    self.head[b] = idx;
-                } else {
-                    self.nodes[prev as usize].next = idx;
-                }
-                if at == NIL {
-                    self.tail[b] = idx;
+                let at = held.partition_point(|e| e.0 < seq);
+                held.insert(at, (seq, item));
+                for (s, it) in held {
+                    self.append(b, s, it);
                 }
             }
-            self.bucketed += 1;
         }
     }
 
@@ -427,12 +518,10 @@ impl BucketQueue {
     /// the peek is the minimum over both sides.
     ///
     /// [`pop`]: BucketQueue::pop
-    pub fn next_time(&mut self) -> Option<u64> {
-        let bucketed = (self.bucketed > 0).then(|| {
-            let b = self.next_set_from((self.cur & self.mask) as usize);
-            self.nodes[self.head[b] as usize].entry.0
-        });
-        let overflowed = self.overflow.peek().map(|&Reverse((t, _, _))| t);
+    pub fn next_time(&self) -> Option<u64> {
+        let bucketed = (self.bucketed > 0)
+            .then(|| self.bucket_time(self.next_set_from((self.cur & self.mask) as usize)));
+        let overflowed = self.overflow.peek().map(|Reverse(e)| e.time);
         match (bucketed, overflowed) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -445,8 +534,7 @@ impl BucketQueue {
     /// queue is empty.
     fn prepare_window(&mut self) -> Option<()> {
         if self.bucketed == 0 {
-            let &Reverse((t, _, _)) = self.overflow.peek()?;
-            self.cur = t;
+            self.cur = self.overflow.peek()?.0.time;
         }
         self.merge_overflow();
         Some(())
@@ -467,8 +555,10 @@ impl BucketQueue {
         self.merge_overflow();
     }
 
-    /// Removes and returns the minimum entry by `(time, seq)`.
-    pub fn pop(&mut self) -> Option<QueueEntry> {
+    /// Removes and returns the minimum entry by `(time, seq)` as
+    /// `(time, seq, item)`.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
         let b = if self.hot != NIL {
             // Same-tick fast path: the previous pop left entries at
             // exactly `cur` in this bucket. Nothing can precede them —
@@ -488,78 +578,88 @@ impl BucketQueue {
             }
             self.next_set_from((self.cur & self.mask) as usize)
         };
-        let h = self.head[b];
-        let Node { entry, next } = self.nodes[h as usize];
-        self.head[b] = next;
-        if next == NIL {
-            self.tail[b] = NIL;
-            self.clear_bit(b);
-        }
-        self.nodes[h as usize].next = self.free_head;
-        self.free_head = h;
-        self.bucketed -= 1;
-        self.cur = entry.0;
-        self.hot = if next == NIL { NIL } else { b as u32 };
-        Some(entry)
+        let time = self.bucket_time(b);
+        let ((seq, item), more) = self.take_head(b);
+        self.cur = time;
+        self.hot = if more { b as u32 } else { NIL };
+        Some((time, seq, item))
     }
+}
 
+impl<T: Clone> BucketQueue<T> {
     /// Every pending entry in `(time, seq)` order — the checkpoint
     /// serialization of the queue.
-    pub fn snapshot_sorted(&self) -> Vec<QueueEntry> {
-        let mut out: Vec<QueueEntry> = Vec::with_capacity(self.len());
-        for (w, &word) in self.l0.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = (w << 6) | bits.trailing_zeros() as usize;
+    pub fn snapshot_sorted(&self) -> Vec<(u64, u64, T)> {
+        let mut out = Vec::with_capacity(self.len());
+        if self.bucketed > 0 {
+            // Circular bucket order from the clock's bucket is time
+            // order, and each chain is in seq order.
+            let mut b = self.next_set_from((self.cur & self.mask) as usize);
+            loop {
+                let time = self.bucket_time(b);
                 let mut at = self.head[b];
-                while at != NIL {
-                    out.push(self.nodes[at as usize].entry);
-                    at = self.nodes[at as usize].next;
+                loop {
+                    let (seq, item) = self.slots[at as usize]
+                        .as_ref()
+                        .expect("a live slot holds an entry");
+                    out.push((time, *seq, item.clone()));
+                    if at == self.tail[b] {
+                        break;
+                    }
+                    at = self.next_slot(at);
                 }
-                bits &= bits - 1;
+                if out.len() == self.bucketed {
+                    break;
+                }
+                b = self.next_set_from((b + 1) & self.mask as usize);
             }
         }
-        out.extend(self.overflow.iter().map(|&Reverse(e)| e));
-        out.sort_unstable();
+        if !self.overflow.is_empty() {
+            out.extend(
+                self.overflow
+                    .iter()
+                    .map(|Reverse(e)| (e.time, e.seq, e.item.clone())),
+            );
+            out.sort_unstable_by_key(|e| (e.0, e.1));
+        }
         out
     }
 
     /// Replaces the contents with `entries` (must be `(time, seq)`
     /// sorted, as produced by [`BucketQueue::snapshot_sorted`]) and sets
-    /// the clock to the earliest pending time.
-    pub fn restore(&mut self, entries: &[QueueEntry]) {
+    /// the clock to the earliest pending time. The re-pushes are not
+    /// counted in [`BucketQueue::overflow_pushes`], which restarts at
+    /// zero.
+    pub fn restore(&mut self, entries: &[(u64, u64, T)]) {
         self.clear();
         if let Some(&(t0, _, _)) = entries.first() {
             self.cur = t0;
         }
-        for &(t, s, slot) in entries {
-            self.push(t, s, slot);
+        for (t, s, item) in entries {
+            self.push(*t, *s, item.clone());
         }
+        self.overflow_pushes = 0;
     }
 }
 
 /// The retained `BinaryHeap` scheduling queue — the reference
 /// implementation [`BucketQueue`] is differentially tested against, and
-/// the core behind [`CoreKind::Heap`](crate::runtime::CoreKind).
-#[derive(Debug, Default)]
-pub struct HeapQueue {
-    heap: BinaryHeap<Reverse<QueueEntry>>,
+/// the core behind [`CoreKind::Heap`](crate::runtime::CoreKind). It
+/// carries its events the same way.
+#[derive(Debug)]
+pub struct HeapQueue<T> {
+    heap: BinaryHeap<Reverse<Keyed<T>>>,
 }
 
-// Hand-written for a buffer-reusing `clone_from`, as on [`BucketQueue`].
-impl Clone for HeapQueue {
-    fn clone(&self) -> Self {
+impl<T> Default for HeapQueue<T> {
+    fn default() -> Self {
         HeapQueue {
-            heap: self.heap.clone(),
+            heap: BinaryHeap::new(),
         }
     }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.heap.clone_from(&src.heap);
-    }
 }
 
-impl HeapQueue {
+impl<T> HeapQueue<T> {
     /// Creates an empty heap queue.
     pub fn new() -> Self {
         Self::default()
@@ -582,40 +682,100 @@ impl HeapQueue {
         self.heap.clear();
     }
 
-    /// Schedules `(time, seq, slot)`.
+    /// Schedules `item` at `(time, seq)`.
     #[inline]
-    pub fn push(&mut self, time: u64, seq: u64, slot: usize) {
-        self.heap.push(Reverse((time, seq, slot)));
+    pub fn push(&mut self, time: u64, seq: u64, item: T) {
+        self.heap.push(Reverse(Keyed { time, seq, item }));
     }
 
     /// The timestamp the next pop will return.
-    pub fn next_time(&mut self) -> Option<u64> {
-        self.heap.peek().map(|&Reverse((t, _, _))| t)
+    pub fn next_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
-    /// Removes and returns the minimum entry by `(time, seq)`.
+    /// Removes and returns the minimum entry by `(time, seq)` as
+    /// `(time, seq, item)`.
     #[inline]
-    pub fn pop(&mut self) -> Option<QueueEntry> {
-        self.heap.pop().map(|Reverse(e)| e)
+    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
+        self.heap.pop().map(|Reverse(e)| (e.time, e.seq, e.item))
     }
+}
 
+impl<T: Clone> HeapQueue<T> {
     /// Every pending entry in `(time, seq)` order.
-    pub fn snapshot_sorted(&self) -> Vec<QueueEntry> {
-        let mut out: Vec<QueueEntry> = self.heap.iter().map(|&Reverse(e)| e).collect();
-        out.sort_unstable();
+    pub fn snapshot_sorted(&self) -> Vec<(u64, u64, T)> {
+        let mut out: Vec<(u64, u64, T)> = self
+            .heap
+            .iter()
+            .map(|Reverse(e)| (e.time, e.seq, e.item.clone()))
+            .collect();
+        out.sort_unstable_by_key(|e| (e.0, e.1));
         out
     }
 
     /// Replaces the contents with `entries`.
-    pub fn restore(&mut self, entries: &[QueueEntry]) {
+    pub fn restore(&mut self, entries: &[(u64, u64, T)]) {
         self.heap.clear();
-        self.heap.extend(entries.iter().map(|&e| Reverse(e)));
+        for (t, s, item) in entries {
+            self.push(*t, *s, item.clone());
+        }
+    }
+}
+
+#[cfg(test)]
+impl<T> BucketQueue<T> {
+    /// Walks every bucket chain and the free list, checking the layout
+    /// invariants: live entries sit exactly in the chains, each chain is
+    /// in seq order at one timestamp inside the window, and every chunk
+    /// is either on one chain or on the free list.
+    fn check_layout(&self) {
+        let mut owned = vec![false; self.links.len()];
+        let mut claim = |c: usize| {
+            assert!(!owned[c], "chunk {c} reachable twice");
+            owned[c] = true;
+        };
+        let mut live = 0;
+        for b in 0..self.capacity() {
+            let set = self.l0[b >> 6] >> (b & 63) & 1 == 1;
+            assert_eq!(set, self.head[b] != NIL, "bitmap of bucket {b}");
+            if !set {
+                continue;
+            }
+            let mut at = self.head[b];
+            claim(at as usize / CHUNK);
+            let mut last_seq = None;
+            loop {
+                let (seq, _) = self.slots[at as usize].as_ref().expect("live slot");
+                assert!(last_seq < Some(*seq), "bucket {b} out of seq order");
+                last_seq = Some(*seq);
+                live += 1;
+                if at == self.tail[b] {
+                    break;
+                }
+                let next = self.next_slot(at);
+                if (next as usize).is_multiple_of(CHUNK) {
+                    claim(next as usize / CHUNK);
+                }
+                at = next;
+            }
+        }
+        assert_eq!(live, self.bucketed, "bucketed count");
+        let occupied = self.slots.iter().filter(|s| s.is_some()).count();
+        assert_eq!(occupied, live, "entries outside every chain");
+        let mut c = self.free;
+        while c != NIL {
+            claim(c as usize);
+            c = self.links[c as usize];
+        }
+        assert!(owned.iter().all(|&o| o), "leaked chunk");
+        assert!(self.overflow.iter().all(|Reverse(e)| e.time >= self.cur));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -702,6 +862,26 @@ mod tests {
     }
 
     #[test]
+    fn overflow_merge_splices_into_a_multi_chunk_bucket() {
+        // An overflow entry with the smallest seq merges into a bucket
+        // that already spans several chunks: it must pop first, and the
+        // rest must follow in seq order.
+        let mut q = BucketQueue::with_capacity(16);
+        q.push(40, 0, 0); // overflow from clock 0
+        q.push(30, 1, 1); // overflow
+        assert_eq!(q.pop(), Some((30, 1, 1))); // clock 30; 40 merged
+        for s in 2..(2 + 2 * CHUNK as u64) {
+            q.push(40, s, s as usize);
+        }
+        q.check_layout();
+        for s in std::iter::once(0).chain(2..(2 + 2 * CHUNK as u64)) {
+            assert_eq!(q.pop(), Some((40, s, s as usize)));
+        }
+        assert_eq!(q.pop(), None);
+        q.check_layout();
+    }
+
+    #[test]
     fn peek_sees_unmerged_overflow_entries_and_keeps_the_clock_still() {
         // A pop advances the window, after which a not-yet-merged
         // overflow entry may undercut every bucketed time: peeking must
@@ -736,7 +916,10 @@ mod tests {
             }
         }
         let snap = q.snapshot_sorted();
-        assert!(snap.windows(2).all(|w| w[0] < w[1]), "snapshot sorted");
+        assert!(
+            snap.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "snapshot sorted"
+        );
         let mut restored = BucketQueue::with_capacity(32);
         restored.restore(&snap);
         let mut heap = HeapQueue::new();
@@ -765,13 +948,11 @@ mod tests {
 
     #[test]
     fn capacity_is_clamped_and_sized_by_delay() {
-        assert_eq!(BucketQueue::new(0).capacity(), BucketQueue::MIN_CAPACITY);
-        assert_eq!(BucketQueue::new(100).capacity(), 128);
-        assert_eq!(BucketQueue::new(10_000).capacity(), 16_384);
-        assert_eq!(
-            BucketQueue::new(u64::MAX).capacity(),
-            BucketQueue::MAX_CAPACITY
-        );
+        type Q = BucketQueue<()>;
+        assert_eq!(Q::new(0).capacity(), MIN_CAPACITY);
+        assert_eq!(Q::new(100).capacity(), 128);
+        assert_eq!(Q::new(10_000).capacity(), 16_384);
+        assert_eq!(Q::new(u64::MAX).capacity(), MAX_CAPACITY);
     }
 
     #[test]
@@ -843,7 +1024,7 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_survives_snapshot_and_clone() {
+    fn hot_path_survives_snapshot_and_restore() {
         let mut q = BucketQueue::with_capacity(32);
         for s in 0..6u64 {
             q.push(9, s, s as usize);
@@ -851,16 +1032,190 @@ mod tests {
         assert_eq!(q.pop(), Some((9, 0, 0))); // hot bucket with 5 left
         let snap = q.snapshot_sorted();
         assert_eq!(snap.len(), 5);
-        let mut cloned = q.clone();
         for s in 1..6u64 {
             assert_eq!(q.pop(), Some((9, s, s as usize)));
-            assert_eq!(cloned.pop(), Some((9, s, s as usize)));
         }
         assert_eq!(q.pop(), None);
         let mut restored = BucketQueue::with_capacity(32);
         restored.restore(&snap);
         for s in 1..6u64 {
             assert_eq!(restored.pop(), Some((9, s, s as usize)));
+        }
+    }
+
+    #[test]
+    fn full_tail_chunk_behind_a_higher_indexed_head_chunk() {
+        // Bucket 3's chain starts in arena chunk 1 and continues into
+        // the recycled chunk 0, which it fills exactly: the tail slot is
+        // the last slot of chunk 0, whose one-past-the-end index is the
+        // head chunk's first slot. Snapshot and pops must still see
+        // every entry.
+        let mut q = BucketQueue::with_capacity(16);
+        q.push(2, 0, 0); // chunk 0
+        let mut seq = 1;
+        for _ in 0..CHUNK {
+            q.push(3, seq, seq); // chunk 1, filled
+            seq += 1;
+        }
+        assert_eq!(q.pop(), Some((2, 0, 0))); // chunk 0 freed
+        for _ in 0..CHUNK {
+            q.push(3, seq, seq); // recycled chunk 0, filled
+            seq += 1;
+        }
+        assert_eq!(q.arena_chunks(), 2);
+        assert_eq!(q.head[3] as usize / CHUNK, 1);
+        assert_eq!(q.tail[3] as usize, CHUNK - 1);
+        q.check_layout();
+        let snap = q.snapshot_sorted();
+        assert_eq!(snap.len(), 2 * CHUNK);
+        assert!(snap
+            .iter()
+            .enumerate()
+            .all(|(i, e)| *e == (3, i as u64 + 1, i as u64 + 1)));
+        let mut restored = BucketQueue::with_capacity(16);
+        restored.restore(&snap);
+        for s in 1..seq {
+            assert_eq!(q.pop(), Some((3, s, s)));
+            assert_eq!(restored.pop(), Some((3, s, s)));
+        }
+        assert_eq!(q.pop(), None);
+        q.check_layout();
+    }
+
+    /// The queue under test and its references, driven in lock-step.
+    struct Model {
+        bucket: BucketQueue<u64>,
+        heap: HeapQueue<u64>,
+        reference: BinaryHeap<Reverse<(u64, u64, u64)>>,
+        now: u64,
+        seq: u64,
+    }
+
+    /// A payload that differs from its key, so a mixed-up slot shows.
+    fn payload(seq: u64) -> u64 {
+        seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xa5a5
+    }
+
+    /// Replays one random trace of pushes (in bursts that often fill
+    /// several chunks of one bucket), pops, peeks, clock advances and
+    /// snapshot→restore cycles against a plain `BinaryHeap`, checking
+    /// every answer and the arena layout after every step.
+    fn run_trace(mut bucket: BucketQueue<u64>, max_delay: u64, seed: u64, steps: usize) {
+        let capacity = bucket.capacity();
+        bucket.clear();
+        let mut m = Model {
+            bucket,
+            heap: HeapQueue::new(),
+            reference: BinaryHeap::new(),
+            now: 0,
+            seq: 0,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        for step in 0..steps {
+            match rng.random_range(0..100u32) {
+                // A burst, often at one timestamp so chains grow past a
+                // chunk; zero delays model same-tick timer arms.
+                0..=39 => {
+                    let burst = rng.random_range(1..=3 * CHUNK as u64);
+                    let same = rng.random_bool(0.5);
+                    let fixed = m.now + rng.random_range(0..=max_delay);
+                    for _ in 0..burst {
+                        let t = if same {
+                            fixed
+                        } else {
+                            m.now + rng.random_range(0..=max_delay)
+                        };
+                        let (s, p) = (m.seq, payload(m.seq));
+                        m.bucket.push(t, s, p);
+                        m.heap.push(t, s, p);
+                        m.reference.push(Reverse((t, s, p)));
+                        m.seq += 1;
+                    }
+                }
+                40..=79 => {
+                    let expect = m.reference.pop().map(|Reverse(e)| e);
+                    assert_eq!(m.bucket.pop(), expect, "pop at step {step}");
+                    assert_eq!(m.heap.pop(), expect, "heap pop at step {step}");
+                    if let Some((t, _, _)) = expect {
+                        m.now = t;
+                    }
+                }
+                80..=87 => {
+                    let expect = m.reference.peek().map(|Reverse(e)| e.0);
+                    assert_eq!(m.bucket.next_time(), expect, "peek at step {step}");
+                    assert_eq!(m.heap.next_time(), expect);
+                }
+                88..=93 => {
+                    // Jump the clock, never past a pending entry.
+                    let limit = m
+                        .reference
+                        .peek()
+                        .map_or(m.now + 2 * max_delay, |Reverse(e)| e.0);
+                    let t = rng.random_range(m.now..=limit);
+                    m.bucket.advance_to(t);
+                    m.now = t;
+                }
+                _ => {
+                    let mut expect: Vec<(u64, u64, u64)> =
+                        m.reference.iter().map(|&Reverse(e)| e).collect();
+                    expect.sort_unstable();
+                    let snap = m.bucket.snapshot_sorted();
+                    assert_eq!(snap, expect, "snapshot at step {step}");
+                    assert_eq!(m.heap.snapshot_sorted(), expect);
+                    // Restore in place (reusing the arena) or into a
+                    // fresh queue of the same window.
+                    if rng.random_bool(0.5) {
+                        m.bucket.restore(&snap);
+                    } else {
+                        let mut fresh = BucketQueue::with_capacity(capacity);
+                        fresh.restore(&snap);
+                        m.bucket = fresh;
+                    }
+                    m.heap.restore(&snap);
+                    // A restore sets the clock to the earliest entry.
+                    if let Some(&(t0, _, _)) = snap.first() {
+                        m.now = t0;
+                    }
+                }
+            }
+            assert_eq!(m.bucket.len(), m.reference.len(), "len at step {step}");
+            assert_eq!(m.heap.len(), m.reference.len());
+            m.bucket.check_layout();
+        }
+        while let Some(Reverse(e)) = m.reference.pop() {
+            assert_eq!(m.bucket.pop(), Some(e));
+        }
+        assert_eq!(m.bucket.pop(), None);
+        m.bucket.check_layout();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Auto-sized windows from `MIN_CAPACITY` (W = 1) up to 2¹⁰:
+        /// every delay fits the window, so the bucket path alone is
+        /// checked, chunk chains included.
+        #[test]
+        fn bucket_queue_matches_binary_heap_inside_the_window(
+            exp in 0u32..=10,
+            seed in any::<u64>(),
+        ) {
+            let max_delay = (1u64 << exp).max(1);
+            let q = BucketQueue::new(max_delay);
+            prop_assert!(q.capacity() as u64 > max_delay);
+            run_trace(q, max_delay, seed, 400);
+        }
+
+        /// A window forced smaller than the delays: most pushes take
+        /// the overflow heap and merge back into chunk chains.
+        #[test]
+        fn bucket_queue_matches_binary_heap_through_overflow(
+            cap_exp in 4u32..=6,
+            spread in 2u64..=8,
+            seed in any::<u64>(),
+        ) {
+            let q = BucketQueue::with_capacity(1 << cap_exp);
+            run_trace(q, spread << cap_exp, seed, 400);
         }
     }
 }

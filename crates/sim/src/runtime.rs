@@ -4,17 +4,19 @@
 //!
 //! The hot loop is allocation-free in steady state:
 //!
-//! * In-flight messages live in a **slab** — a `Vec<Option<Delivery>>`
-//!   indexed by slot, with freed slots recycled through a free list. The
-//!   scheduling queue stores only `(arrival, seq, slot)` triples; `seq`
-//!   preserves global send order, so delivery order is identical to the
-//!   reference implementation in [`crate::baseline`].
-//! * The scheduling queue itself is a [`BucketQueue`] by default:
-//!   arrivals are monotone and within `max_weight` of the clock, so an
-//!   integer-keyed bucket ladder gives O(1) amortized push/pop (see
-//!   [`crate::queue`] for the invariants). The retained `BinaryHeap`
-//!   core stays selectable via [`Simulator::core`] as the differential
-//!   reference.
+//! * In-flight events live **in the scheduling queue itself**, keyed by
+//!   `(arrival, seq)`; `seq` preserves global send order, so delivery
+//!   order is identical to the reference implementation in
+//!   [`crate::baseline`]. A pop hands back the event by value, so no
+//!   second lookup stands between the queue and the handler.
+//! * The queue is a [`BucketQueue`] by default: arrivals are monotone
+//!   and within `max_weight` of the clock, so an integer-keyed bucket
+//!   calendar gives O(1) amortized push/pop. Each bucket is a chain of
+//!   fixed-size chunks from one shared, free-listed arena, so the events
+//!   of one tick sit side by side and memory follows the in-flight peak
+//!   (see [`crate::queue`] for the invariants and the layout). The
+//!   retained `BinaryHeap` core stays selectable via [`Simulator::core`]
+//!   as the differential reference.
 //! * Per-directed-edge **FIFO floors** live in a flat `Vec<SimTime>` of
 //!   length `2·m`, indexed by `2·edge + direction` — no hashing, and no
 //!   `n²` table.
@@ -64,14 +66,14 @@
 //!   checkpoint — the property the adversary's prefix-sharing hill-climb
 //!   exploits, pinned by `tests/flat_core_differential.rs`.
 //! * [`EvalPool`] + [`Simulator::eval`] — repeated evaluation that
-//!   retains every buffer (slab, queue, floors, states, outboxes)
+//!   retains every buffer (queue arena, floors, states, outboxes)
 //!   between runs, reporting only an [`EvalSummary`] instead of
 //!   returning owned state.
 
 use crate::cost::{CostClass, CostReport};
 use crate::delay::{DelayModel, LinkDecision, LinkOracle, ModelOracle, MsgInfo};
 use crate::process::{Context, Process, TimerId};
-use crate::queue::{BucketQueue, HeapQueue, QueueEntry};
+use crate::queue::{self, BucketQueue, HeapQueue};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
 use csp_graph::{Cost, EdgeId, NodeId, Weight, WeightedGraph};
@@ -132,8 +134,8 @@ pub enum CoreKind {
 }
 
 /// One in-flight message: everything needed at delivery time. `Copy`
-/// for copyable payloads so slab restores on the checkpoint-resume path
-/// specialize to memcpy.
+/// for copyable payloads, so checkpoint snapshots and restores of the
+/// pending events are plain copies.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Delivery<M> {
     pub(crate) to: NodeId,
@@ -159,14 +161,15 @@ pub(crate) enum Event<M> {
 
 /// The scheduling queue behind [`EventCore`], dispatched by [`CoreKind`].
 /// Shared with the sharded runtime ([`crate::shard`]), whose per-shard
-/// cores need the same kind dispatch.
-#[derive(Clone, Debug)]
-pub(crate) enum Queue {
-    Bucket(BucketQueue),
-    Heap(HeapQueue),
+/// cores need the same kind dispatch. Both kinds carry the events
+/// themselves.
+#[derive(Debug)]
+pub(crate) enum Queue<T> {
+    Bucket(BucketQueue<T>),
+    Heap(HeapQueue<T>),
 }
 
-impl Queue {
+impl<T> Queue<T> {
     pub(crate) fn new(kind: CoreKind, max_delay: u64) -> Self {
         match kind {
             CoreKind::Bucket => Queue::Bucket(BucketQueue::new(max_delay)),
@@ -175,15 +178,15 @@ impl Queue {
     }
 
     #[inline]
-    pub(crate) fn push(&mut self, time: u64, seq: u64, slot: usize) {
+    pub(crate) fn push(&mut self, time: u64, seq: u64, item: T) {
         match self {
-            Queue::Bucket(q) => q.push(time, seq, slot),
-            Queue::Heap(q) => q.push(time, seq, slot),
+            Queue::Bucket(q) => q.push(time, seq, item),
+            Queue::Heap(q) => q.push(time, seq, item),
         }
     }
 
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<QueueEntry> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, u64, T)> {
         match self {
             Queue::Bucket(q) => q.pop(),
             Queue::Heap(q) => q.pop(),
@@ -192,17 +195,10 @@ impl Queue {
 
     /// Earliest scheduled time without popping — `None` when empty.
     #[inline]
-    pub(crate) fn next_time(&mut self) -> Option<u64> {
+    pub(crate) fn next_time(&self) -> Option<u64> {
         match self {
             Queue::Bucket(q) => q.next_time(),
             Queue::Heap(q) => q.next_time(),
-        }
-    }
-
-    fn snapshot_sorted(&self) -> Vec<QueueEntry> {
-        match self {
-            Queue::Bucket(q) => q.snapshot_sorted(),
-            Queue::Heap(q) => q.snapshot_sorted(),
         }
     }
 
@@ -215,35 +211,42 @@ impl Queue {
         }
     }
 
-    /// Overwrites this queue with a snapshotted one. Same-kind restores
-    /// are allocation-reusing field copies (the hot checkpoint-resume
-    /// path); a kind mismatch — resuming a checkpoint on a simulator
-    /// with the other core — rebuilds from the sorted entry view, which
-    /// both kinds accept.
-    fn restore(&mut self, src: &Queue) {
-        match (&mut *self, src) {
-            (Queue::Bucket(a), Queue::Bucket(b)) => a.clone_from(b),
-            (Queue::Heap(a), Queue::Heap(b)) => a.clone_from(b),
-            (me, other) => match me {
-                Queue::Bucket(q) => q.restore(&other.snapshot_sorted()),
-                Queue::Heap(q) => q.restore(&other.snapshot_sorted()),
-            },
+    fn clear(&mut self) {
+        match self {
+            Queue::Bucket(q) => q.clear(),
+            Queue::Heap(q) => q.clear(),
         }
     }
 }
 
-/// Flat-array event core: scheduling queue + payload slab + FIFO floors.
+impl<T: Clone> Queue<T> {
+    /// Every pending entry in `(time, seq)` order.
+    fn snapshot_sorted(&self) -> Vec<(u64, u64, T)> {
+        match self {
+            Queue::Bucket(q) => q.snapshot_sorted(),
+            Queue::Heap(q) => q.snapshot_sorted(),
+        }
+    }
+
+    /// Replaces the contents by re-pushing a sorted snapshot — the same
+    /// path for either kind, whichever kind took the snapshot.
+    fn restore(&mut self, entries: &[(u64, u64, T)]) {
+        match self {
+            Queue::Bucket(q) => q.restore(entries),
+            Queue::Heap(q) => q.restore(entries),
+        }
+    }
+}
+
+/// Flat-array event core: the event-carrying scheduling queue + FIFO
+/// floors.
 ///
 /// See the [module docs](self) for the layout rationale.
 struct EventCore<M> {
-    /// Min-queue of `(arrival, seq, slot)`. `seq` is globally unique so
-    /// ties at equal arrival break in send order, exactly like the
-    /// baseline's `(arrival, seq)` key.
-    queue: Queue,
-    /// Payloads, indexed by slot. `None` marks a free slot.
-    slab: Vec<Option<Event<M>>>,
-    /// Slots vacated by delivered events, reused before growing the slab.
-    free: Vec<usize>,
+    /// Min-queue of events keyed by `(arrival, seq)`. `seq` is globally
+    /// unique so ties at equal arrival break in send order, exactly
+    /// like the baseline's `(arrival, seq)` key.
+    queue: Queue<Event<M>>,
     /// Earliest admissible arrival per directed edge, indexed by
     /// `2·edge + direction`. `SimTime::ZERO` is the identity for the
     /// `max` floor update since every arrival is strictly positive.
@@ -255,8 +258,6 @@ impl<M> EventCore<M> {
     fn new(kind: CoreKind, edge_count: usize, max_delay: u64) -> Self {
         EventCore {
             queue: Queue::new(kind, max_delay),
-            slab: Vec::new(),
-            free: Vec::new(),
             fifo_floor: vec![SimTime::ZERO; 2 * edge_count],
             seq: 0,
         }
@@ -268,12 +269,7 @@ impl<M> EventCore<M> {
     /// the queue.
     fn reset(&mut self, kind: CoreKind, edge_count: usize, max_delay: u64) {
         self.ensure_queue(kind, max_delay);
-        match &mut self.queue {
-            Queue::Bucket(q) => q.clear(),
-            Queue::Heap(q) => q.clear(),
-        }
-        self.slab.clear();
-        self.free.clear();
+        self.queue.clear();
         self.fifo_floor.clear();
         self.fifo_floor.resize(2 * edge_count, SimTime::ZERO);
         self.seq = 0;
@@ -286,7 +282,7 @@ impl<M> EventCore<M> {
     fn ensure_queue(&mut self, kind: CoreKind, max_delay: u64) {
         match (&mut self.queue, kind) {
             (Queue::Bucket(q), CoreKind::Bucket)
-                if q.capacity() >= BucketQueue::capacity_for(max_delay) => {}
+                if q.capacity() >= queue::capacity_for(max_delay) => {}
             (Queue::Heap(_), CoreKind::Heap) => {}
             (queue, kind) => *queue = Queue::new(kind, max_delay),
         }
@@ -298,25 +294,15 @@ impl<M> EventCore<M> {
         2 * eid.index() + usize::from(g.edge(eid).u() != from)
     }
 
+    #[inline]
     fn push(&mut self, arrival: SimTime, event: Event<M>) {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slab[s] = Some(event);
-                s
-            }
-            None => {
-                self.slab.push(Some(event));
-                self.slab.len() - 1
-            }
-        };
-        self.queue.push(arrival.get(), self.seq, slot);
+        self.queue.push(arrival.get(), self.seq, event);
         self.seq += 1;
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<(SimTime, Event<M>)> {
-        let (now, _seq, slot) = self.queue.pop()?;
-        let event = self.slab[slot].take().expect("slab slot holds payload");
-        self.free.push(slot);
+        let (now, _seq, event) = self.queue.pop()?;
         Some((SimTime::new(now), event))
     }
 }
@@ -325,10 +311,8 @@ impl<M: Clone> EventCore<M> {
     /// Overwrites the core with a checkpoint's event state, reusing the
     /// existing allocations where possible.
     fn restore_from<P: Process<Msg = M>>(&mut self, cp: &Checkpoint<P>) {
-        self.slab.clone_from(&cp.slab);
-        self.free.clone_from(&cp.free);
         self.fifo_floor.clone_from(&cp.fifo_floor);
-        self.queue.restore(&cp.queue);
+        self.queue.restore(&cp.pending);
         self.seq = cp.seq;
     }
 }
@@ -582,11 +566,9 @@ pub struct Checkpoint<P: Process> {
     cost: CostReport,
     states: Vec<P>,
     trace: Trace,
-    /// The scheduling queue as captured — restoring into the same kind
-    /// is a flat copy; the other kind rebuilds from the sorted view.
-    queue: Queue,
-    slab: Vec<Option<Event<P::Msg>>>,
-    free: Vec<usize>,
+    /// Every pending event as `(time, seq, event)`, sorted by
+    /// `(time, seq)`; either queue kind restores it by re-pushing.
+    pending: Vec<(u64, u64, Event<P::Msg>)>,
     fifo_floor: Vec<SimTime>,
     seq: u64,
     churn: Vec<Vec<SimTime>>,
@@ -602,16 +584,18 @@ pub struct Checkpoint<P: Process> {
 
 impl<P: Process + Clone> Checkpoint<P> {
     fn of(m: &Machine<P>) -> Self {
+        // A restore re-pushes the pending events without counting them,
+        // so the prefix's overflow traffic travels in the cost report.
+        let mut cost = m.cost.clone();
+        cost.overflow_pushes += m.core.queue.overflow_pushes();
         Checkpoint {
             messages: m.cost.messages,
             events: m.events,
             truncated: m.truncated,
-            cost: m.cost.clone(),
+            cost,
             states: m.states.clone(),
             trace: m.trace.clone(),
-            queue: m.core.queue.clone(),
-            slab: m.core.slab.clone(),
-            free: m.core.free.clone(),
+            pending: m.core.queue.snapshot_sorted(),
             fifo_floor: m.core.fifo_floor.clone(),
             seq: m.core.seq,
             churn: m.churn.clone(),
@@ -646,11 +630,12 @@ impl<P: Process> Checkpoint<P> {
     }
 }
 
-/// Reusable simulation state for high-throughput evaluation: the slab,
-/// scheduling queue, FIFO floors, process-state vector, cost meters and
-/// handler buffers all persist between [`Simulator::eval`] /
-/// [`Simulator::eval_resume`] calls, so a warm evaluation performs no
-/// per-run setup allocation. Keep one pool per worker thread.
+/// Reusable simulation state for high-throughput evaluation: the
+/// scheduling queue and its chunk arena, FIFO floors, process-state
+/// vector, cost meters and handler buffers all persist between
+/// [`Simulator::eval`] / [`Simulator::eval_resume`] calls, so a warm
+/// evaluation performs no per-run setup allocation. Keep one pool per
+/// worker thread.
 pub struct EvalPool<P: Process> {
     machine: Option<Machine<P>>,
 }
@@ -1166,9 +1151,11 @@ impl<'g> Simulator<'g> {
         // error), so consumers can detect overflow-heap fallback without
         // reaching into the queue. The window is a workload property
         // (identical across cores) — only the push counter is per-queue.
+        // The queue counts overflow pushes since it was cleared or
+        // restored; a resumed run's report already carries the prefix's.
         let finalize = |m: &mut Machine<P>| {
-            m.cost.bucket_window = BucketQueue::capacity_for(g.max_weight().get()) as u64;
-            m.cost.overflow_pushes = m.core.queue.overflow_pushes();
+            m.cost.bucket_window = queue::capacity_for(g.max_weight().get()) as u64;
+            m.cost.overflow_pushes += m.core.queue.overflow_pushes();
         };
         while !m.truncated {
             let Some((now, event)) = m.core.pop() else {
@@ -1383,7 +1370,7 @@ mod tests {
         let b = run_on(CoreKind::Bucket);
         let h = run_on(CoreKind::Heap);
         assert_eq!(b.cost, h.cost);
-        assert_eq!(b.cost.bucket_window, BucketQueue::capacity_for(5) as u64);
+        assert_eq!(b.cost.bucket_window, queue::capacity_for(5) as u64);
         assert_eq!(b.cost.overflow_pushes, 0);
 
         // Past-window workload (W > MAX_CAPACITY): the bucket core falls
@@ -1402,8 +1389,8 @@ mod tests {
         };
         let bb = run_big(CoreKind::Bucket);
         let hb = run_big(CoreKind::Heap);
-        assert_eq!(bb.cost.bucket_window, BucketQueue::MAX_CAPACITY as u64);
-        assert_eq!(hb.cost.bucket_window, BucketQueue::MAX_CAPACITY as u64);
+        assert_eq!(bb.cost.bucket_window, queue::MAX_CAPACITY as u64);
+        assert_eq!(hb.cost.bucket_window, queue::MAX_CAPACITY as u64);
         assert!(
             bb.cost.overflow_pushes > 0,
             "W past the window cap must hit the overflow heap"
@@ -1534,9 +1521,10 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_reused_across_deliveries() {
-        // A long chain keeps at most one message in flight, so the slab
-        // never grows past one slot no matter how many events run.
+    fn one_in_flight_chain_keeps_the_arena_at_one_chunk() {
+        // A long chain keeps at most one message in flight, so the
+        // queue's chunk arena never grows past one chunk no matter how
+        // many events run: each pop frees the chunk the next push takes.
         struct Chain;
         impl Process for Chain {
             type Msg = u32;
@@ -1552,8 +1540,16 @@ mod tests {
             }
         }
         let g = generators::path(2, |_| 1);
-        let run = Simulator::new(&g).run(|_, _| Chain).unwrap();
-        assert_eq!(run.cost.messages, 1001);
+        let sim = Simulator::new(&g);
+        let mut pool = EvalPool::new();
+        let mut oracle = ModelOracle::new(DelayModel::WorstCase, 0);
+        let summary = sim.eval(&mut pool, &mut oracle, |_, _| Chain).unwrap();
+        assert_eq!(summary.messages, 1001);
+        let machine = pool.machine.as_ref().expect("the pool keeps its machine");
+        match &machine.core.queue {
+            Queue::Bucket(q) => assert_eq!(q.arena_chunks(), 1),
+            Queue::Heap(_) => panic!("the default core is the bucket queue"),
+        }
     }
 }
 
@@ -1783,6 +1779,30 @@ mod checkpoint_tests {
             .eval_resume(&mut pool, &cps_small[0], &mut o())
             .unwrap();
         assert_eq!(s.completion, cold_small.cost.completion);
+    }
+
+    #[test]
+    fn resume_reports_the_cold_runs_overflow_count() {
+        // Weights past the window cap: every delivery overflows. A
+        // restore re-pushes the pending events without counting them,
+        // and the checkpoint's report carries the prefix's count, so
+        // owned and pooled resumes report what the cold run did.
+        let g = generators::path(2, |_| 300_000);
+        let sim = Simulator::new(&g);
+        let o = || ModelOracle::new(DelayModel::WorstCase, 0);
+        let mut cps = Vec::new();
+        let cold = sim
+            .run_with_checkpoints(&mut o(), make, 5, &mut cps)
+            .unwrap();
+        assert!(cold.cost.overflow_pushes > 0);
+        let mut pool = EvalPool::new();
+        for cp in &cps {
+            let resumed = sim.resume(cp, &mut o()).unwrap();
+            assert_eq!(resumed.cost.overflow_pushes, cold.cost.overflow_pushes);
+            sim.eval_resume(&mut pool, cp, &mut o()).unwrap();
+            let m = pool.machine.as_ref().expect("the pool keeps its machine");
+            assert_eq!(m.cost.overflow_pushes, cold.cost.overflow_pushes);
+        }
     }
 
     #[test]

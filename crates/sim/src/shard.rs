@@ -3,8 +3,8 @@
 //! [`crate::sweep`] parallelises across runs; this module parallelises
 //! *within* one. The graph is partitioned into `k` disjoint shards
 //! (derived from the paper's sparse-cover coarsening via
-//! [`ShardPlan::derive`]), each with its own scheduling queue, payload
-//! slab, FIFO floors and per-vertex state — and `k` scoped worker
+//! [`ShardPlan::derive`]), each with its own event-carrying scheduling
+//! queue, FIFO floors and per-vertex state — and `k` scoped worker
 //! threads execute the event calendar **tick-synchronously**:
 //!
 //! 1. **Pick `T`** — every worker posts its queue's earliest scheduled
@@ -49,7 +49,7 @@ use crate::cost::CostClass;
 use crate::cost::CostReport;
 use crate::delay::{DelayModel, LinkDecision, LinkOracle, ModelOracle, MsgInfo};
 use crate::process::{Context, Process, TimerId};
-use crate::queue::BucketQueue;
+use crate::queue;
 use crate::runtime::{CoreKind, Delivery, Event, Queue, Run, SimError, Simulator};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
@@ -174,16 +174,14 @@ type InboxItem<M> = (u64, u64, Event<M>);
 type InboxBuf<M> = VecDeque<InboxItem<M>>;
 
 /// One shard: the vertices assigned to it, their protocol states, a
-/// private scheduling queue + slab, the FIFO floors of the channels it
-/// *sends* on, and the per-tick scratch buffers.
+/// private event-carrying scheduling queue, the FIFO floors of the
+/// channels it *sends* on, and the per-tick scratch buffers.
 struct Shard<P: Process> {
     /// Global ids of this shard's vertices, ascending.
     nodes: Vec<NodeId>,
     /// Protocol states, indexed shard-locally (same order as `nodes`).
     states: Vec<P>,
-    queue: Queue,
-    slab: Vec<Option<Event<P::Msg>>>,
-    free: Vec<usize>,
+    queue: Queue<Event<P::Msg>>,
     /// FIFO floors of the directed channels whose sender is local,
     /// indexed by the shared `channel_local` map.
     floors: Vec<SimTime>,
@@ -232,8 +230,6 @@ impl<P: Process> Shard<P> {
             nodes: Vec::new(),
             states: Vec::new(),
             queue: Queue::new(kind, max_delay),
-            slab: Vec::new(),
-            free: Vec::new(),
             floors: Vec::new(),
             node_msg_seq: Vec::new(),
             node_timer_seq: Vec::new(),
@@ -255,20 +251,6 @@ impl<P: Process> Shard<P> {
             outbufs: (0..shards).map(|_| VecDeque::new()).collect(),
             streams: (0..shards).map(|_| VecDeque::new()).collect(),
         }
-    }
-
-    fn push(&mut self, time: u64, seq: u64, event: Event<P::Msg>) {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slab[s] = Some(event);
-                s
-            }
-            None => {
-                self.slab.push(Some(event));
-                self.slab.len() - 1
-            }
-        };
-        self.queue.push(time, seq, slot);
     }
 }
 
@@ -611,7 +593,9 @@ impl<'g> ShardedSimulator<'g> {
                 let at = churn[v.index()][i];
                 let seq = global.seq;
                 global.seq += 1;
-                shards[plan.shard_of(v)].push(at.get(), seq, Event::Rejoin { node: v });
+                shards[plan.shard_of(v)]
+                    .queue
+                    .push(at.get(), seq, Event::Rejoin { node: v });
             }
         }
         for v in g.nodes() {
@@ -655,7 +639,7 @@ impl<'g> ShardedSimulator<'g> {
                 let seq = global.seq;
                 global.seq += 1;
                 let recv = plan.shard_of(to);
-                shards[recv].push(
+                shards[recv].queue.push(
                     arrival.get(),
                     seq,
                     Event::Msg(Delivery {
@@ -679,7 +663,9 @@ impl<'g> ShardedSimulator<'g> {
                 }
                 let seq = global.seq;
                 global.seq += 1;
-                shards[s].push(delay, seq, Event::Timer { node: v, id });
+                shards[s]
+                    .queue
+                    .push(delay, seq, Event::Timer { node: v, id });
             }
         }
 
@@ -795,7 +781,7 @@ impl<'g> ShardedSimulator<'g> {
         if let Some(err) = global.err {
             return Err(err);
         }
-        global.cost.bucket_window = BucketQueue::capacity_for(max_delay) as u64;
+        global.cost.bucket_window = queue::capacity_for(max_delay) as u64;
         let mut states: Vec<Option<P>> = (0..n).map(|_| None).collect();
         for shard in shards {
             let mut shard = shard.into_inner().unwrap();
@@ -839,9 +825,7 @@ fn phase_b<P: Process>(
     // runs — the same visibility rule as the sequential pop loop.
     advance_drift(&mut shard.eff, &mut shard.drift_cursor, drift, now);
     while shard.queue.next_time() == Some(t) {
-        let (_, seq, slot) = shard.queue.pop().expect("peeked entry exists");
-        let event = shard.slab[slot].take().expect("slab slot holds payload");
-        shard.free.push(slot);
+        let (_, seq, event) = shard.queue.pop().expect("peeked entry exists");
         let (node, fire) = match event {
             Event::Msg(d) => (d.to, Some(Ok(d))),
             Event::Timer { node, id } => {
@@ -1099,7 +1083,7 @@ fn merge_inboxes<P: Process>(shard: &mut Shard<P>) {
         }
         let Some((_, s)) = best else { break };
         let (time, seq, event) = streams[s].pop_front().expect("front peeked");
-        shard.push(time, seq, event);
+        shard.queue.push(time, seq, event);
     }
     shard.streams = streams;
 }
